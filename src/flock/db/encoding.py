@@ -462,16 +462,13 @@ def _codes_against(dictionary: np.ndarray, vector: ColumnVector) -> np.ndarray |
     """Codes of *vector* against an existing dictionary, or None if any
     present value is missing from it (caller re-encodes from scratch)."""
     index = {v: i for i, v in enumerate(dictionary.tolist())}
-    values = vector.values
     nulls = vector.nulls
+    present = vector.values[~nulls]
+    looked = list(map(index.get, present.tolist()))
+    if None in looked:
+        return None
     codes = np.full(len(vector), -1, dtype=np.int32)
-    for i, value in enumerate(values.tolist()):
-        if nulls[i]:
-            continue
-        code = index.get(value)
-        if code is None:
-            return None
-        codes[i] = code
+    codes[~nulls] = np.array(looked, dtype=np.int32)
     return codes
 
 
@@ -502,7 +499,10 @@ def encode_rle(vector: ColumnVector) -> RunLengthVector | None:
     if n > 1:
         null_flip = nulls[1:] != nulls[:-1]
         both_present = ~(nulls[1:] | nulls[:-1])
-        value_change = np.asarray(values[1:] != values[:-1], dtype=bool)
+        # Floats compare as bit patterns: -0.0 == 0.0 would merge their
+        # runs, and NaN != NaN would split every NaN into its own run.
+        bits = values.view(np.int64) if values.dtype.kind == "f" else values
+        value_change = np.asarray(bits[1:] != bits[:-1], dtype=bool)
         change[1:] = null_flip | (both_present & value_change)
     starts = np.nonzero(change)[0]
     if len(starts) > n // RLE_MAX_RUN_FRACTION:

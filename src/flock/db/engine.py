@@ -36,7 +36,7 @@ from flock.db.sql import ast_nodes as ast
 from flock.db.sql.parser import Parser, parse_statement
 from flock.db.storage import TableVersion
 from flock.db.txn import ReadWriteLock, Transaction, TransactionManager
-from flock.db.types import SQL_TYPE_ALIASES, DataType
+from flock.db.types import SQL_TYPE_ALIASES, DataType, date_to_days
 from flock.db.vector import Batch, ColumnVector
 from flock.errors import (
     BindError,
@@ -599,7 +599,7 @@ class Database:
         """
         parser = Parser(sql)
         statement = parser.parse()
-        rows_params = [list(p) for p in seq_of_params]
+        rows_params = [tuple(p) for p in seq_of_params]
         if not rows_params:
             return QueryResult("INSERT", affected_rows=0)
         if (
@@ -629,7 +629,7 @@ class Database:
         self,
         parser: Parser,
         statement: ast.Insert,
-        rows_params: list[list[Any]],
+        rows_params: list[tuple],
         user: str,
     ) -> QueryResult:
         from flock.errors import TransactionError
@@ -663,21 +663,23 @@ class Database:
                     )
                 slots.append((False, bound.value))
 
-        full_rows = []
-        for params in rows_params:
-            if len(params) != parser.parameter_count:
-                raise BindError(
-                    f"statement has {parser.parameter_count} '?' "
-                    f"placeholder(s) but {len(params)} parameter value(s) "
-                    f"were supplied"
-                )
-            full = [None] * len(schema)
-            for (is_param, slot), position in zip(slots, positions):
-                value = params[slot] if is_param else slot
-                full[position] = _coerce_insert_value(
-                    schema.columns[position], value
-                )
-            full_rows.append(full)
+        count = parser.parameter_count
+        if set(map(len, rows_params)) != {count}:
+            wrong = next(p for p in rows_params if len(p) != count)
+            raise BindError(
+                f"statement has {count} '?' placeholder(s) but "
+                f"{len(wrong)} parameter value(s) were supplied"
+            )
+        # Transpose once: one sequence per '?' slot; constants broadcast.
+        n = len(rows_params)
+        by_slot = list(zip(*rows_params))
+        columns = _insert_columns(
+            schema,
+            positions,
+            [by_slot[slot] if is_param else [slot] * n
+             for is_param, slot in slots],
+            n,
+        )
 
         # Audit before the commit (like the per-statement INSERT path): the
         # record then rides inside the commit's WAL entry, so the trail and
@@ -686,14 +688,15 @@ class Database:
             user,
             "INSERT",
             statement.table,
-            detail=f"{len(full_rows)} rows (executemany)",
+            detail=f"{n} rows (executemany)",
         )
         attempts = 0
         while True:
             txn = self.transactions.begin(user)
             base = txn.visible_version(statement.table)
             txn.stage(
-                statement.table, table.build_insert(full_rows, base=base)
+                statement.table,
+                table.build_insert_columns(columns, base=base),
             )
             try:
                 self.transactions.commit(txn)
@@ -703,7 +706,7 @@ class Database:
                 if attempts >= 10:
                     raise
         self.maybe_auto_checkpoint()
-        return QueryResult("INSERT", affected_rows=len(full_rows))
+        return QueryResult("INSERT", affected_rows=n)
 
     def _record_statement(
         self,
@@ -870,7 +873,8 @@ class Database:
                     f"INSERT column count {len(positions)} does not match "
                     f"SELECT column count {source.num_columns}"
                 )
-            incoming_rows = list(source.rows())
+            n = source.num_rows
+            incoming = [column.to_pylist() for column in source.columns]
         else:
             incoming_rows = []
             binder = Binder(self, params)
@@ -889,24 +893,18 @@ class Database:
                             "INSERT VALUES must be constant expressions"
                         )
                     values.append(bound.value)
-                incoming_rows.append(tuple(values))
-
-        full_rows = []
-        for row in incoming_rows:
-            full = [None] * len(schema)
-            for position, value in zip(positions, row):
-                full[position] = _coerce_insert_value(
-                    schema.columns[position], value
-                )
-            full_rows.append(full)
+                incoming_rows.append(values)
+            n = len(incoming_rows)
+            incoming = list(zip(*incoming_rows))
+        columns = _insert_columns(schema, positions, incoming, n)
 
         base = txn.visible_version(statement.table)
-        staged = table.build_insert(full_rows, base=base)
+        staged = table.build_insert_columns(columns, base=base)
         txn.stage(statement.table, staged)
         self.audit.log.record(
-            user, "INSERT", statement.table, detail=f"{len(full_rows)} rows"
+            user, "INSERT", statement.table, detail=f"{n} rows"
         )
-        return QueryResult("INSERT", affected_rows=len(full_rows))
+        return QueryResult("INSERT", affected_rows=n)
 
     # -- UPDATE -----------------------------------------------------------
     def _execute_update(
@@ -1236,10 +1234,45 @@ class Database:
 
 def _coerce_insert_value(column: Column, value: Any) -> Any:
     if column.dtype is DataType.DATE and isinstance(value, str):
-        from flock.db.types import date_to_days
-
         return date_to_days(value)
     return value
+
+
+def _insert_columns(
+    schema: TableSchema,
+    positions: Sequence[int],
+    incoming: Sequence[Sequence[Any]],
+    n: int,
+) -> list[Sequence[Any]]:
+    """Full-width INSERT columns: *incoming[k]* fills *positions[k]*.
+
+    Omitted columns are all NULL. ISO strings bound for DATE columns are
+    parsed once per distinct string (the ``_coerce_insert_value`` rule,
+    applied to a whole column).
+    """
+    columns: list[Sequence[Any]] = [[None] * n for _ in schema.columns]
+    for position, values in zip(positions, incoming):
+        if schema.columns[position].dtype is DataType.DATE:
+            values = _parse_date_strings(values)
+        columns[position] = values
+    return columns
+
+
+def _parse_date_strings(values: Sequence[Any]) -> Sequence[Any]:
+    types = set(map(type, values))
+    if not any(issubclass(t, str) for t in types):
+        return values
+    if types <= {str, type(None)}:
+        days = {
+            text: date_to_days(text)
+            for text in dict.fromkeys(values) if text is not None
+        }
+        days[None] = None
+        return list(map(days.__getitem__, values))
+    return [
+        date_to_days(value) if isinstance(value, str) else value
+        for value in values
+    ]
 
 
 def _collect_reads(bound: PlanNode) -> tuple[list[str], list[str]]:

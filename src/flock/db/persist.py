@@ -21,6 +21,8 @@ import os
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from flock.db.audit import AuditRecord
 from flock.db.engine import Database, QueryLogEntry
 from flock.db.schema import Column, TableSchema
@@ -129,12 +131,29 @@ def _fsync_dir(path: Path) -> None:
 
 def dump_values(vector: ColumnVector) -> list:
     """One column's values as JSON-safe Python objects (NULL as None)."""
-    values = []
     # Hoist once: on encoded vectors each property access decodes the
-    # whole column, which would make this loop quadratic.
+    # whole column.
     physical = vector.values
     nulls = vector.nulls
-    for i in range(len(vector)):
+    # tolist() gives the same Python objects the per-element loop below
+    # emits for numeric/boolean storage and for str payloads; only NULL and
+    # non-finite float positions need patching.
+    values = physical.tolist()
+    if physical.dtype == np.dtype(object):
+        if not set(map(type, values)) <= {str, type(None)}:
+            return _dump_objects(physical, nulls)
+    elif physical.dtype.kind == "f":
+        for i in np.flatnonzero(~np.isfinite(physical) & ~nulls):
+            values[i] = {"__float__": repr(values[i])}
+    for i in np.flatnonzero(nulls):
+        values[i] = None
+    return values
+
+
+def _dump_objects(physical: np.ndarray, nulls: np.ndarray) -> list:
+    """The per-element reference of :func:`dump_values`."""
+    values = []
+    for i in range(len(physical)):
         if nulls[i]:
             values.append(None)
         else:
@@ -150,7 +169,12 @@ def dump_values(vector: ColumnVector) -> list:
 
 
 def load_values(values: list) -> list:
-    """Invert :func:`dump_values` (decode non-finite float markers)."""
+    """Invert :func:`dump_values` (decode non-finite float markers).
+
+    Returns *values* itself when it holds no dict, so no marker.
+    """
+    if not any(issubclass(t, dict) for t in set(map(type, values))):
+        return values
     return [
         float(v["__float__"]) if isinstance(v, dict) and "__float__" in v
         else v
@@ -293,13 +317,10 @@ def load_database(
 def _load_version(schema: TableSchema, payload: dict) -> TableVersion:
     vectors = []
     for column, values in zip(schema.columns, payload["columns"]):
-        decoded = load_values(values)
-        if column.dtype is DataType.DATE:
-            # Stored physically as day numbers; from_values expects that.
-            vector = ColumnVector.from_values(DataType.DATE, decoded)
-        else:
-            vector = ColumnVector.from_values(column.dtype, decoded)
-        vectors.append(vector)
+        # DATE columns are stored as day numbers, which from_values takes.
+        vectors.append(
+            ColumnVector.from_values(column.dtype, load_values(values))
+        )
     return TableVersion(
         payload["version_id"], schema, vectors, payload["operation"]
     )

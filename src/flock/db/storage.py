@@ -259,18 +259,27 @@ class Table:
         self, rows: Iterable[Sequence[Any]], base: TableVersion | None = None
     ) -> TableVersion:
         """A staged new version with *rows* appended to *base* (default head)."""
-        base = base or self.head_version
         rows = list(rows)
         width = len(self.schema)
-        for row in rows:
-            if len(row) != width:
-                raise ExecutionError(
-                    f"INSERT row has {len(row)} values, table {self.name!r} "
-                    f"has {width} columns"
-                )
+        if rows and set(map(len, rows)) != {width}:
+            row = next(row for row in rows if len(row) != width)
+            raise ExecutionError(
+                f"INSERT row has {len(row)} values, table {self.name!r} "
+                f"has {width} columns"
+            )
+        columns = list(zip(*rows)) if rows else [()] * width
+        return self.build_insert_columns(columns, base)
+
+    def build_insert_columns(
+        self,
+        columns: Sequence[Sequence[Any]],
+        base: TableVersion | None = None,
+    ) -> TableVersion:
+        """A staged INSERT version from one sequence of Python values per
+        column — the path every insert takes, row-shaped or not."""
         fresh = [
-            ColumnVector.from_values(col.dtype, [row[i] for row in rows])
-            for i, col in enumerate(self.schema.columns)
+            ColumnVector.from_values(col.dtype, values)
+            for col, values in zip(self.schema.columns, columns)
         ]
         return self.build_append(fresh, base)
 

@@ -43,7 +43,26 @@ class ColumnVector:
     # ------------------------------------------------------------------
     @classmethod
     def from_values(cls, dtype: DataType, items: Sequence[Any]) -> "ColumnVector":
-        """Build a vector from Python values, coercing each to *dtype*."""
+        """Build a vector from Python values, coercing each to *dtype*.
+
+        When every non-NULL item has one of the exact Python types in
+        :data:`_EXACT_TYPES` for *dtype*, numpy converts the whole column
+        in one call; ``coerce_value`` would return the same values. Any
+        other mix (numpy scalars, ``bool`` in INTEGER, ``date`` objects,
+        ``str`` subclasses, MODEL payloads, ints out of range) takes the
+        per-value loop, which stays the reference and the only place
+        errors are raised.
+        """
+        exact = _EXACT_TYPES.get(dtype)
+        if exact is not None:
+            types = set(map(type, items))
+            has_nulls = type(None) in types
+            types.discard(type(None))
+            if types <= exact:
+                try:
+                    return cls._from_exact(dtype, items, has_nulls)
+                except OverflowError:
+                    pass  # the loop below raises it at the failing value
         n = len(items)
         nulls = np.zeros(n, dtype=bool)
         storage = np.empty(n, dtype=dtype.numpy_dtype)
@@ -55,6 +74,28 @@ class ColumnVector:
                 nulls[i] = True
             else:
                 storage[i] = coerced
+        return cls(dtype, storage, nulls)
+
+    @classmethod
+    def _from_exact(
+        cls, dtype: DataType, items: Sequence[Any], has_nulls: bool
+    ) -> "ColumnVector":
+        """Whole-column conversion of items of :data:`_EXACT_TYPES` only."""
+        n = len(items)
+        numpy_dtype = dtype.numpy_dtype
+        if not has_nulls:
+            return cls(dtype, np.array(items, dtype=numpy_dtype),
+                       np.zeros(n, dtype=bool))
+        nulls = np.fromiter((item is None for item in items), bool, n)
+        if numpy_dtype == np.dtype(object):
+            # NULL slots hold None, as in the reference loop.
+            storage = np.array(items, dtype=object)
+        else:
+            zero = _zero_of(dtype)
+            storage = np.array(
+                [zero if item is None else item for item in items],
+                dtype=numpy_dtype,
+            )
         return cls(dtype, storage, nulls)
 
     @classmethod
@@ -145,6 +186,18 @@ class ColumnVector:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         preview = self.to_pylist()[:8]
         return f"ColumnVector({self.dtype}, n={len(self)}, {preview}...)"
+
+
+#: Per dtype, the exact Python types (never subclasses) that numpy converts
+#: to the dtype's storage with the values :func:`coerce_value` gives. MODEL
+#: has none: its payloads are opaque.
+_EXACT_TYPES = {
+    DataType.INTEGER: frozenset({int}),
+    DataType.FLOAT: frozenset({float, int}),
+    DataType.TEXT: frozenset({str}),
+    DataType.BOOLEAN: frozenset({bool}),
+    DataType.DATE: frozenset({int}),
+}
 
 
 def _zero_of(dtype: DataType) -> Any:

@@ -38,6 +38,10 @@ from flock.proc.framing import recv_message, send_message
 #: overrides it fleet-wide (CI lanes shrink it so hangs fail fast).
 DEFAULT_TIMEOUT_S = 120.0
 
+#: How long a crashed channel waits for the worker's exit status before
+#: classifying the failure; a dead peer is reaped well within it.
+EXIT_STATUS_WAIT_S = 2.0
+
 
 def request_timeout() -> float:
     try:
@@ -214,14 +218,26 @@ class WorkerHandle:
             self.kill()
             raise
         except (WorkerCrashError, ProtocolError) as exc:
-            code = self.proc.poll()
+            # A send can hit EPIPE before the kernel has reaped a killed
+            # worker: after a transport failure, give the exit status a
+            # bounded moment to appear before classifying.
+            code = None
+            if not isinstance(exc, ProtocolError) and not self.channel.healthy:
+                code = self._exit_status()
             self.kill()
-            if code is not None and not isinstance(exc, ProtocolError):
+            if code is not None:
                 raise WorkerCrashError(
                     f"{self.label}: worker pid {self.proc.pid} exited "
                     f"with status {code} under op {op!r}"
                 ) from exc
             raise
+
+    def _exit_status(self, timeout: float = EXIT_STATUS_WAIT_S) -> int | None:
+        """The worker's exit status, waiting up to *timeout* for it."""
+        try:
+            return self.proc.wait(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            return None
 
     def call(self, target: str, path: str, args: list | None = None,
              kwargs: dict | None = None, *, invoke: bool = True,

@@ -80,7 +80,12 @@ def _merge(cluster, name: str, parts: list[TableVersion]) -> TableVersion:
 
 
 class _MergedContext:
-    """Execution context serving merged snapshots to the executor.
+    """Optimizer and execution context over the merged snapshots.
+
+    The coordinator's own tables hold no rows, so row counts and
+    statistics come from the merged versions: planning against empty
+    tables would never swap a join's build side and would compress models
+    against no input statistics, unlike one engine holding the same rows.
 
     Deliberately has no ``index_lookup``: coordinator index metadata
     describes per-shard buckets, not the merged snapshot, so index access
@@ -93,6 +98,21 @@ class _MergedContext:
     def __init__(self, database, versions: dict):
         self.database = database
         self.versions = versions
+
+    def table_row_count(self, table_name: str) -> int:
+        return self.versions[table_name.lower()].row_count
+
+    def table_stats(self, table_name: str):
+        return self.versions[table_name.lower()].stats()
+
+    def indexes_enabled(self) -> bool:
+        return self.database.indexes_enabled()
+
+    def index_for(self, table_name: str, column_position: int):
+        return self.database.index_for(table_name, column_position)
+
+    def model_artifact(self, model_name: str):
+        return self.database.model_artifact(model_name)
 
     def table_batch(self, table_name: str) -> Batch:
         return self.versions[table_name.lower()].batch()
@@ -134,10 +154,10 @@ def _run(cluster, coordinator, statement, params, user) -> QueryResult:
     bound = binder.bind_query(query)
     coordinator._check_plan_privileges(bound, user)
     reads = _collect_reads(bound)
-    plan = coordinator.optimizer.optimize(bound, coordinator)
     context = _MergedContext(
         coordinator, gather_versions(cluster, reads[0])
     )
+    plan = coordinator.optimizer.optimize(bound, context)
     if explain and not statement.analyze:
         lines = plan.explain().splitlines()
         return _plan_result(lines)

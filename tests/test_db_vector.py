@@ -1,11 +1,13 @@
 """Unit + property tests for ColumnVector and Batch."""
 
+import datetime
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flock.db.types import DataType
+from flock.db.types import DataType, coerce_value
 from flock.db.vector import Batch, ColumnVector
 from flock.errors import ExecutionError
 
@@ -140,3 +142,137 @@ class TestBatch:
     def test_empty(self):
         batch = Batch.empty(["a"], [DataType.FLOAT])
         assert batch.num_rows == 0
+
+
+# ----------------------------------------------------------------------
+# from_values: the whole-column path against the per-value reference
+# ----------------------------------------------------------------------
+class _Text(str):
+    """A str subclass: must take the per-value path and keep its type."""
+
+
+def _reference_from_values(dtype: DataType, items) -> ColumnVector:
+    """The per-value ``coerce_value`` loop every column build must match."""
+    n = len(items)
+    nulls = np.zeros(n, dtype=bool)
+    storage = np.empty(n, dtype=dtype.numpy_dtype)
+    if dtype.numpy_dtype != np.dtype(object):
+        storage[:] = 0  # False / 0 / 0.0 placeholders under NULLs
+    for i, item in enumerate(items):
+        coerced = coerce_value(item, dtype)
+        if coerced is None:
+            nulls[i] = True
+        else:
+            storage[i] = coerced
+    return ColumnVector(dtype, storage, nulls)
+
+
+def _outcome(build, dtype, items):
+    try:
+        return build(dtype, items)
+    except Exception as exc:  # compared by type and message
+        return exc
+
+
+def _assert_same_build(dtype, items):
+    got = _outcome(ColumnVector.from_values, dtype, items)
+    want = _outcome(_reference_from_values, dtype, items)
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want), (got, want)
+        return
+    assert not isinstance(got, Exception), got
+    assert got.dtype is want.dtype
+    assert got.values.dtype == want.values.dtype
+    assert got.nulls.dtype == np.dtype(bool)
+    assert np.array_equal(got.nulls, want.nulls)
+    if want.values.dtype == np.dtype(object):
+        assert [type(v) for v in got.values] == [type(v) for v in want.values]
+        assert got.values.tolist() == want.values.tolist()
+    else:
+        # Bytes, not ==: NaN payloads and the sign of -0.0 must survive.
+        assert got.values.tobytes() == want.values.tobytes()
+
+
+_MIXES = {
+    DataType.INTEGER: {
+        "int": [3, -7, 0, 2**62, -(2**63)],
+        "int+bool": [1, True, 2],
+        "int+numpy": [1, np.int64(5), np.int32(-2)],
+        "int+whole-float": [1, 2.0, np.float64(3.0)],
+        "int+fraction": [1, 2.5],
+        "overflow": [1, 2**63],
+        "text": [1, "2"],
+    },
+    DataType.FLOAT: {
+        "float": [1.5, -0.0, float("nan"), float("inf"), -float("inf")],
+        "float+int": [1.5, 2, -(2**70) + 1, 0],
+        "float+numpy": [np.float32(0.1), np.int64(4), 2.5],
+        "int-overflow": [1.5, 10**400],
+        "bool": [1.0, False],
+        "text": [1.0, "x"],
+    },
+    DataType.TEXT: {
+        "str": ["a", "", "ü", "a"],
+        "str-subclass": ["a", _Text("b")],
+        "int": ["a", 1],
+    },
+    DataType.BOOLEAN: {
+        "bool": [True, False, True],
+        "bool+numpy": [True, np.bool_(False)],
+        "int": [True, 1],
+    },
+    DataType.DATE: {
+        "days": [0, 18_000, -365],
+        "iso": ["2020-01-02", 5],
+        "date": [datetime.date(1999, 12, 31), 7],
+        "numpy": [np.int64(3), 4],
+        "bool": [3, True],
+        "bad-iso": ["2020-13-40"],
+        "overflow": [2**64],
+    },
+    DataType.MODEL: {
+        "payloads": [{"graph": [1, 2]}, ["x"], 3.5],
+    },
+}
+
+_NULLINGS = {
+    "none": lambda i: False,
+    "some": lambda i: i % 3 == 1,
+    "all": lambda i: True,
+}
+
+
+@pytest.mark.parametrize("nulling", sorted(_NULLINGS))
+@pytest.mark.parametrize(
+    "dtype,mix",
+    [(d, m) for d, mixes in _MIXES.items() for m in mixes],
+    ids=[f"{d.value}-{m}" for d, mixes in _MIXES.items() for m in mixes],
+)
+def test_from_values_matches_per_value_reference(dtype, mix, nulling):
+    values = _MIXES[dtype][mix] * 3
+    is_null = _NULLINGS[nulling]
+    items = [None if is_null(i) else v for i, v in enumerate(values)]
+    _assert_same_build(dtype, items)
+    _assert_same_build(dtype, tuple(items))  # transposed rows are tuples
+
+
+def test_from_values_empty_column():
+    for dtype in DataType:
+        _assert_same_build(dtype, [])
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.none(),
+            st.booleans(),
+            st.integers(-(2**65), 2**65),
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.text(max_size=4),
+        ),
+        max_size=30,
+    ),
+    st.sampled_from(list(DataType)),
+)
+def test_from_values_property(items, dtype):
+    _assert_same_build(dtype, items)

@@ -11,6 +11,8 @@ ORDER BY + LIMIT path (``topk=heap``).
 
 from __future__ import annotations
 
+import json
+import math
 import random
 
 import numpy as np
@@ -29,6 +31,7 @@ from flock.db.encoding import (
     encoding_of,
     vector_nbytes,
 )
+from flock.db.persist import dump_values, load_values
 from flock.db.types import DataType
 from flock.db.vector import ColumnVector
 from flock.errors import FlockError
@@ -185,6 +188,83 @@ def test_short_and_highcard_vectors_stay_plain():
         DataType.TEXT, [f"v{i}" for i in range(N)]
     )
     assert not isinstance(encode_vector(unique), EncodedVector)
+
+
+# ----------------------------------------------------------------------
+# Log and snapshot values: dump_values against the per-element reference
+# ----------------------------------------------------------------------
+def _reference_dump(vector):
+    """Per-element JSON-safe values, as the WAL and checkpoints write them."""
+    physical, nulls = vector.values, vector.nulls
+    out = []
+    for i in range(len(physical)):
+        value = physical[i]
+        if nulls[i]:
+            out.append(None)
+        elif isinstance(value, float) and not math.isfinite(value):
+            out.append({"__float__": repr(float(value))})
+        elif hasattr(value, "item"):
+            out.append(value.item())
+        else:
+            out.append(value)
+    return out
+
+
+_SPECIAL_FLOATS = [
+    float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, 2.5,
+]
+
+DUMP_SHAPES = SHAPES + [
+    ("float-nonfinite", DataType.FLOAT,
+     lambda rng: [_SPECIAL_FLOATS[i % 7] for i in range(N)], None),
+    ("float-nonfinite-runs", DataType.FLOAT,
+     lambda rng: [_SPECIAL_FLOATS[(i // 8) % 7] for i in range(N)], None),
+    ("int-wide", DataType.INTEGER,
+     lambda rng: [rng.randrange(-(2**63), 2**63) for _ in range(N)], None),
+    ("text-unique", DataType.TEXT,
+     lambda rng: [f"v{i}\u00fc" for i in range(N)], None),
+    ("model", DataType.MODEL,
+     lambda rng: [{"w": [i, 0.5]} for i in range(N)], None),
+    ("model-scalars", DataType.MODEL,
+     lambda rng: [[np.float64(i) / 2, float("nan"), np.int64(i), "s"][i % 4]
+                  for i in range(N)], None),
+]
+
+
+@pytest.mark.parametrize("null_pattern", sorted(NULL_PATTERNS))
+@pytest.mark.parametrize(
+    "shape", DUMP_SHAPES, ids=[s[0] for s in DUMP_SHAPES]
+)
+def test_dump_values_matches_per_element_reference(shape, null_pattern):
+    plain = _build(shape, null_pattern)
+    encoded = encode_vector(plain)
+    text = json.dumps(_reference_dump(plain))
+    assert json.dumps(dump_values(plain)) == text
+    assert json.dumps(dump_values(encoded)) == text
+    assert json.dumps(_reference_dump(encoded)) == text
+    decoded = load_values(json.loads(text))
+    restored = ColumnVector.from_values(plain.dtype, decoded)
+    assert json.dumps(dump_values(restored)) == text
+
+
+def test_dump_values_broadcast_constants():
+    for dtype, value in [
+        (DataType.FLOAT, float("nan")),
+        (DataType.FLOAT, -0.0),
+        (DataType.INTEGER, None),
+        (DataType.TEXT, "x"),
+    ]:
+        vector = ColumnVector.constant(dtype, value, 5)
+        assert json.dumps(dump_values(vector)) == json.dumps(
+            _reference_dump(vector)
+        )
+
+
+def test_load_values_passes_marker_free_lists_through():
+    values = [1.5, None, 2, "x"]
+    assert load_values(values) is values
+    marked = [{"__float__": "-inf"}, 1.0, None]
+    assert load_values(marked) == [-float("inf"), 1.0, None]
 
 
 # ----------------------------------------------------------------------

@@ -286,6 +286,31 @@ class TestChannel:
             chan.request("ping")
         assert not chan.healthy
 
+    def test_crash_before_reap_is_classified_by_exit_status(self):
+        # The peer is gone but the kernel has not reaped it yet: poll()
+        # still reports it running when the transport error surfaces.
+        from flock.proc.supervisor import WorkerHandle
+
+        class UnreapedProc:
+            pid = 4242
+
+            def poll(self):
+                return None
+
+            def wait(self, timeout=None):
+                return -9
+
+            def send_signal(self, sig):
+                pass
+
+        a, b = sockpair()
+        Peer(b, [None])
+        handle = object.__new__(WorkerHandle)
+        handle.label, handle.proc, handle._closed = "w", UnreapedProc(), False
+        handle.channel = Channel(a, timeout=5.0)
+        with pytest.raises(WorkerCrashError, match="exited with status -9"):
+            handle.request("ping")
+
 
 # ----------------------------------------------------------------------
 # End to end: real workers, real deaths

@@ -3,6 +3,7 @@ concurrency primitives and the executemany fast path."""
 
 from __future__ import annotations
 
+import datetime
 import threading
 import time
 
@@ -421,6 +422,58 @@ class TestExecutemany:
         )
         assert result.affected_rows == 2
         assert db.execute("SELECT SUM(k) FROM kv").scalar() == 26
+
+    def test_param_count_mismatch_message(self, db: Database):
+        # Arity is checked once over all rows; the message names the first
+        # row whose length is wrong, and nothing is inserted.
+        db.execute("CREATE TABLE kv (k INT, v TEXT)")
+        with pytest.raises(BindError) as err:
+            db.executemany(
+                "INSERT INTO kv VALUES (?, ?)",
+                [(1, "a"), (2,), (3, "c", 4)],
+            )
+        assert str(err.value) == (
+            "statement has 2 '?' placeholder(s) but 1 parameter value(s) "
+            "were supplied"
+        )
+        assert db.execute("SELECT COUNT(*) FROM kv").scalar() == 0
+
+    ROWS = [
+        (1, 1.5, "2024-03-01", True, "a"),
+        (2, None, None, None, None),
+        (3, 7, "2024-03-01", False, "b"),
+        (4, float("-inf"), datetime.date(2020, 2, 29), True, "a"),
+        (5, -0.0, 19_000, None, ""),
+    ]
+
+    def test_matches_per_row_inserts(self, db: Database):
+        for table in ("bulk", "rows"):
+            db.execute(
+                f"CREATE TABLE {table} (k INT, x FLOAT, d DATE, "
+                f"b BOOLEAN, t TEXT, c TEXT)"
+            )
+        sql = "INSERT INTO {} VALUES (?, ?, ?, ?, ?, 'const')"
+        db.executemany(sql.format("bulk"), self.ROWS)
+        for row in self.ROWS:
+            db.execute(sql.format("rows"), list(row))
+        assert repr(db.execute("SELECT * FROM bulk").rows()) == repr(
+            db.execute("SELECT * FROM rows").rows()
+        )
+
+    @pytest.mark.parametrize("bad", [(6, "x", None, None, None),
+                                     (6, None, "2024-13-01", None, None),
+                                     (6, None, None, 1, None)])
+    def test_rejects_like_per_row_inserts(self, db: Database, bad):
+        db.execute("CREATE TABLE kv (k INT, x FLOAT, d DATE, b BOOLEAN, "
+                   "t TEXT)")
+        sql = "INSERT INTO kv VALUES (?, ?, ?, ?, ?)"
+        with pytest.raises(Exception) as bulk:
+            db.executemany(sql, [*self.ROWS, bad])
+        with pytest.raises(Exception) as single:
+            db.execute(sql, list(bad))
+        assert type(bulk.value) is type(single.value)
+        assert str(bulk.value) == str(single.value)
+        assert db.execute("SELECT COUNT(*) FROM kv").scalar() == 0
 
 
 # ----------------------------------------------------------------------
